@@ -106,21 +106,21 @@ def _solver_micro_case() -> BenchCase:
         cold = EquilibriumSolver(machine.tiers, use_cache=False)
         for i in range(40):
             p = i / 39.0
-            cold.solve(app, [p, 1.0 - p], pinned=pinned)
+            cold.solve([(app, [p, 1.0 - p])], pinned=pinned)
 
         # Warm-chained: a drifting sweep, each solve seeded by the last.
         warm_solver = EquilibriumSolver(machine.tiers, use_cache=False)
         warm = None
         for i in range(200):
             p = 0.3 + 0.4 * i / 199.0
-            eq = warm_solver.solve(app, [p, 1.0 - p], pinned=pinned,
-                                   initial_latencies=warm)
+            eq = warm_solver.solve([(app, [p, 1.0 - p])],
+                                   pinned=pinned, initial_latencies=warm)
             warm = eq.latencies_ns
 
         # Memoized: steady state re-posing the identical system.
         memo = EquilibriumSolver(machine.tiers, use_cache=True)
         for _ in range(400):
-            memo.solve(app, [0.7, 0.3], pinned=pinned)
+            memo.solve([(app, [0.7, 0.3])], pinned=pinned)
         return None
 
     return BenchCase(name="solver-micro", run=run)
@@ -139,7 +139,7 @@ def _colocation_micro_case(duration_s: float = 2.0) -> BenchCase:
 
     def run(config: ExperimentConfig, runner: Runner):
         from repro.experiments.common import make_system, scaled_machine
-        from repro.runtime.colocation import ColocatedLoop, TenantSpec
+        from repro.runtime.loop import SimulationLoop, TenantSpec
         from repro.workloads.gups import GupsWorkload
         from repro.workloads.silo import SiloYcsbWorkload
 
@@ -154,7 +154,7 @@ def _colocation_micro_case(duration_s: float = 2.0) -> BenchCase:
                                                  seed=config.seed + 1),
                        system=make_system("hemem+colloid")),
         ]
-        loop = ColocatedLoop(
+        loop = SimulationLoop(
             machine=scaled_machine(config.scale),
             tenants=tenants,
             contention=2,

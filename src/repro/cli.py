@@ -490,19 +490,15 @@ def _contention_schedule(args):
     return schedule
 
 
-def cmd_run_colocated(args) -> int:
-    """Handle ``repro run --tenant ...``: N tenants on one machine."""
-    from repro.experiments.common import scaled_machine
-    from repro.obs.tracer import Tracer
-    from repro.runtime.colocation import ColocatedLoop, TenantSpec
-    from repro.runtime.export import to_csv, to_json
+def _build_tenants(args, scale: float):
+    """The ``--tenant`` flags as tenant specs. Tenants share the machine,
+    so each gets an equal slice of the scale budget; the loop's arbiter
+    then grants capacity per tier."""
+    from repro.runtime.loop import TenantSpec
 
-    scale = _resolved_scale(args)
     parsed = _parse_tenants(args.tenant)
-    # Tenants share the machine, so each gets an equal slice of the
-    # scale budget; the arbiter then grants capacity per tier.
     tenant_scale = scale / len(parsed)
-    tenants = [
+    return [
         TenantSpec(
             name=name,
             workload=_make_workload(kind, tenant_scale, args.seed + i,
@@ -511,68 +507,20 @@ def cmd_run_colocated(args) -> int:
         )
         for i, (name, kind, system) in enumerate(parsed)
     ]
-    tracer = Tracer(jsonl_path=args.trace) if args.trace else None
-    _enable_instrumentation(args)
-    loop = ColocatedLoop(
-        machine=scaled_machine(scale),
-        tenants=tenants,
-        contention=_contention_schedule(args),
-        seed=args.seed,
-        tracer=tracer,
-        profile=args.profile,
-    )
-    try:
-        metrics = loop.run(duration_s=args.duration)
-        loop.emit_run_end()
-    finally:
-        if tracer is not None:
-            tracer.close()
-    tail = max(1, len(metrics) // 4)
-    latency = metrics.latencies_ns[-tail:].mean(axis=0)
-    print("tenants       : " + ", ".join(
-        f"{t.name}={t.workload.name}/{t.system.name}" for t in tenants))
-    print(f"contention    : {args.contention}x")
-    print(f"throughput    : {metrics.steady_state_throughput():.2f} GB/s "
-          "(all tenants)")
-    print("tier latencies: "
-          + "  ".join(f"{x:.0f} ns" for x in latency))
-    grants = loop.tenant_grants
-    for name, tenant_metrics in loop.tenant_metrics.items():
-        t_tail = max(1, len(tenant_metrics) // 4)
-        share = tenant_metrics.p_true[-t_tail:].mean()
-        grant_gb = " + ".join(f"{g / 1e9:.2f}" for g in grants[name])
-        print(f"  {name:<10}: "
-              f"{tenant_metrics.steady_state_throughput():.2f} GB/s, "
-              f"default share {share:.1%}, grant {grant_gb} GB")
-    if args.csv:
-        print(f"wrote {to_csv(metrics, args.csv)}")
-    if args.json:
-        print(f"wrote {to_json(metrics, args.json)}")
-    if args.trace:
-        events = sum(tracer.counts.values())
-        print(f"wrote {args.trace} ({events} events)")
-    if args.profile:
-        print("phase profile :")
-        print(loop.profiler.format_summary())
-    if args.check:
-        print(f"invariants    : {loop.checker.checks_run} machine checks "
-              "passed")
-    _export_metrics(args)
-    return 0
 
 
 def cmd_run(args) -> int:
-    """Handle ``repro run``: one simulation, printed summary."""
+    """Handle ``repro run``: one simulation (solo, or N tenants with
+    ``--tenant``), printed summary."""
     from repro.experiments.common import scaled_machine
     from repro.obs.tracer import Tracer
     from repro.runtime.export import to_csv, to_json
     from repro.runtime.loop import SimulationLoop
 
-    if getattr(args, "tenant", None):
-        return cmd_run_colocated(args)
     scale = _resolved_scale(args)
-    workload = _build_workload(args, scale)
-    if args.hotset_shift:
+    tenants = _build_tenants(args, scale) if args.tenant else None
+    workload = None if tenants else _build_workload(args, scale)
+    if args.hotset_shift and not tenants:
         from repro.errors import ConfigurationError
         from repro.workloads.dynamic import HotSetShiftWorkload
         from repro.workloads.gups import GupsWorkload
@@ -589,11 +537,12 @@ def cmd_run(args) -> int:
     loop = SimulationLoop(
         machine=scaled_machine(scale),
         workload=workload,
-        system=_build_system(args.system),
+        system=None if tenants else _build_system(args.system),
         contention=_contention_schedule(args),
         seed=args.seed,
         tracer=tracer,
         profile=args.profile,
+        tenants=tenants,
     )
     try:
         metrics = loop.run(duration_s=args.duration)
@@ -603,18 +552,33 @@ def cmd_run(args) -> int:
             tracer.close()
     tail = max(1, len(metrics) // 4)
     latency = metrics.latencies_ns[-tail:].mean(axis=0)
-    print(f"system        : {args.system}")
-    print(f"workload      : {workload.name} "
-          f"({workload.working_set_bytes / 1e9:.1f} GB working set)")
+    if tenants:
+        print("tenants       : " + ", ".join(
+            f"{t.name}={t.workload.name}/{t.system.name}" for t in tenants))
+    else:
+        print(f"system        : {args.system}")
+        print(f"workload      : {workload.name} "
+              f"({workload.working_set_bytes / 1e9:.1f} GB working set)")
     if args.contention_step:
         steps = ", ".join(sorted(args.contention_step))
         print(f"contention    : {args.contention}x, then {steps}")
     else:
         print(f"contention    : {args.contention}x")
-    print(f"throughput    : {metrics.steady_state_throughput():.2f} GB/s")
+    print(f"throughput    : {metrics.steady_state_throughput():.2f} GB/s"
+          + (" (all tenants)" if tenants else ""))
     print("tier latencies: "
           + "  ".join(f"{x:.0f} ns" for x in latency))
-    print(f"default share : {metrics.p_true[-tail:].mean():.1%}")
+    if tenants:
+        for name, tenant_metrics in loop.tenant_metrics.items():
+            t_tail = max(1, len(tenant_metrics) // 4)
+            share = tenant_metrics.p_true[-t_tail:].mean()
+            grant_gb = " + ".join(f"{g / 1e9:.2f}"
+                                  for g in loop.tenant_grants[name])
+            print(f"  {name:<10}: "
+                  f"{tenant_metrics.steady_state_throughput():.2f} GB/s, "
+                  f"default share {share:.1%}, grant {grant_gb} GB")
+    else:
+        print(f"default share : {metrics.p_true[-tail:].mean():.1%}")
     if args.csv:
         print(f"wrote {to_csv(metrics, args.csv)}")
     if args.json:
@@ -626,7 +590,8 @@ def cmd_run(args) -> int:
         print("phase profile :")
         print(loop.profiler.format_summary())
     if args.check:
-        print(f"invariants    : {loop.checker.checks_run} checks passed")
+        scope = "machine checks" if tenants else "checks"
+        print(f"invariants    : {loop.checker.checks_run} {scope} passed")
     _export_metrics(args)
     return 0
 

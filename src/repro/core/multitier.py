@@ -118,7 +118,7 @@ def find_balanced_split(solver, app, balancer: Optional[MultiTierBalancer]
     split = np.full(n, 1.0 / n)
     warm = None
     for _ in range(max_rounds):
-        eq = solver.solve(app, split, pinned=pinned,
+        eq = solver.solve([(app, split)], pinned=pinned,
                           initial_latencies=warm)
         warm = eq.latencies_ns
         shift = balancer.compute(eq.latencies_ns, split)

@@ -138,7 +138,7 @@ def find_equilibrium_p(solver, app, pinned=(), tolerance: float = 1e-4,
 
     def gap(p: float) -> float:
         nonlocal warm
-        eq = solver.solve(app, [p, 1.0 - p], pinned=pinned,
+        eq = solver.solve([(app, [p, 1.0 - p])], pinned=pinned,
                           initial_latencies=warm)
         warm = eq.latencies_ns
         return float(eq.latencies_ns[0] - eq.latencies_ns[1])

@@ -24,54 +24,32 @@ from repro.memhw.fixedpoint import EquilibriumSolver
 from repro.memhw.topology import Machine
 from repro.pages.oracle import BestCaseResult, best_case_sweep
 from repro.runtime.experiment import SteadyStateResult, run_steady_state
-from repro.runtime.loop import SimulationLoop
+from repro.runtime.loop import SimulationLoop, TenantSpec
 from repro.workloads.base import Workload
 
 
-def build_loop(spec: RunSpec, tracer=None):
-    """Construct the loop a spec describes: a
-    :class:`~repro.runtime.loop.SimulationLoop`, or a
-    :class:`~repro.runtime.colocation.ColocatedLoop` when the spec
-    declares tenants."""
-    if spec.tenants:
-        return _build_colocated_loop(spec, tracer=tracer)
-    workload = spec.workload.build()
-    machine = spec.machine.build(workload)
+def build_loop(spec: RunSpec, tracer=None) -> SimulationLoop:
+    """Construct the :class:`~repro.runtime.loop.SimulationLoop` a spec
+    describes: solo, or colocated when the spec declares tenants."""
+    tenants = [
+        TenantSpec(cell.name, cell.workload.build(),
+                   make_system(cell.system, **dict(cell.system_kwargs)),
+                   cell.weight)
+        for cell in spec.tenants
+    ]
+    workload = tenants[0].workload if tenants else spec.workload.build()
     return SimulationLoop(
-        machine=machine,
-        workload=workload,
-        system=make_system(spec.system, **dict(spec.system_kwargs)),
+        machine=spec.machine.build(workload),
+        workload=None if tenants else workload,
+        system=None if tenants else make_system(
+            spec.system, **dict(spec.system_kwargs)),
         quantum_ms=spec.quantum_ms,
         contention=spec.contention_input(),
         cha_noise_sigma=spec.cha_noise_sigma,
         migration_limit_bytes=spec.migration_limit_bytes,
         seed=spec.seed,
         tracer=tracer,
-    )
-
-
-def _build_colocated_loop(spec: RunSpec, tracer=None):
-    """Construct the colocated loop for a multi-tenant spec."""
-    from repro.runtime.colocation import ColocatedLoop, TenantSpec
-
-    tenants = []
-    for cell in spec.tenants:
-        tenants.append(TenantSpec(
-            name=cell.name,
-            workload=cell.workload.build(),
-            system=make_system(cell.system, **dict(cell.system_kwargs)),
-            weight=cell.weight,
-        ))
-    machine = spec.machine.build(tenants[0].workload)
-    return ColocatedLoop(
-        machine=machine,
-        tenants=tenants,
-        quantum_ms=spec.quantum_ms,
-        contention=spec.contention_input(),
-        cha_noise_sigma=spec.cha_noise_sigma,
-        migration_limit_bytes=spec.migration_limit_bytes,
-        seed=spec.seed,
-        tracer=tracer,
+        tenants=tenants or None,
     )
 
 
@@ -170,11 +148,10 @@ def _cpu_work(system) -> dict:
 def _loop_cpu_work(loop) -> dict:
     """The loop's CPU-work counters; colocated loops merge every
     tenant's counters under tenant-prefixed keys."""
-    systems = getattr(loop, "tenant_systems", None)
-    if systems is None:
+    if not loop.colocated:
         return _cpu_work(loop.system)
     merged = {}
-    for name, system in systems.items():
+    for name, system in loop.tenant_systems.items():
         for key, value in system.cpu_work.items():
             merged[f"{name}.{key}"] = float(value)
     return merged
@@ -182,12 +159,11 @@ def _loop_cpu_work(loop) -> dict:
 
 def _tenant_payload(loop) -> "dict | None":
     """Per-tenant summaries for a colocated loop (None otherwise)."""
-    metrics_by_tenant = getattr(loop, "tenant_metrics", None)
-    if metrics_by_tenant is None:
+    if not loop.colocated:
         return None
     systems = loop.tenant_systems
     payload = {}
-    for name, metrics in metrics_by_tenant.items():
+    for name, metrics in loop.tenant_metrics.items():
         latencies, share = _tail_stats(metrics)
         tail = max(1, len(metrics) // 4)
         payload[name] = {
@@ -206,7 +182,7 @@ def _execute_best_case(spec: RunSpec) -> CellResult:
     machine = spec.machine.build(workload)
     best = best_case_result(workload, machine, spec.initial_contention(),
                             spec.seed)
-    rates = best.best.equilibrium.app_tier_read_rate
+    rates = best.best.equilibrium.apps[0].tier_read_rate
     total = float(rates.sum())
     share = float(rates[0]) / total if total else 0.0
     return CellResult(

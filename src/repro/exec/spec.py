@@ -294,9 +294,9 @@ class RunSpec:
     steps, first entry at t=0; a single entry means constant contention.
 
     Colocated cells set ``tenants`` to two or more
-    :class:`TenantCellSpec` entries; the run is then driven by a
-    :class:`~repro.runtime.colocation.ColocatedLoop` and the top-level
-    ``system``/``workload``/``system_kwargs`` fields are conventional
+    :class:`TenantCellSpec` entries, run as the declared tenants of one
+    :class:`~repro.runtime.loop.SimulationLoop`; the top-level
+    ``system``/``workload``/``system_kwargs`` fields are then conventional
     only (``system`` should be :data:`COLOCATION_SYSTEM`, ``workload``
     the first tenant's). Single-tenant specs leave ``tenants`` empty and
     serialize/hash exactly as before the field existed.

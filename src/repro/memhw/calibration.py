@@ -66,7 +66,7 @@ def calibration_report(machine: Optional[Machine] = None) -> Dict[str, Dict]:
         if level == 0:
             continue
         ant = antagonist_core_group(level, machine.antagonist)
-        eq = solver.solve(idle_app, [1.0, 0.0], pinned=[(ant, 0)])
+        eq = solver.solve([(idle_app, [1.0, 0.0])], pinned=[(ant, 0)])
         achieved = float(
             eq.tier_wire_traffic[0] / machine.tiers[0].theoretical_bandwidth
         )
@@ -78,14 +78,14 @@ def calibration_report(machine: Optional[Machine] = None) -> Dict[str, Dict]:
     inflations = {}
     for level, target in LATENCY_INFLATION_TARGETS.items():
         ant = antagonist_core_group(level, machine.antagonist)
-        eq = solver.solve(app, [HOT_PACKED_P, 1 - HOT_PACKED_P],
+        eq = solver.solve([(app, [HOT_PACKED_P, 1 - HOT_PACKED_P])],
                           pinned=[(ant, 0)])
         achieved = machine.cpu_latency_ns(
             float(eq.latencies_ns[0])
         ) / unloaded_cpu
         inflations[level] = {"achieved": achieved, "target": target}
 
-    eq0 = solver.solve(app, [HOT_PACKED_P, 1 - HOT_PACKED_P])
+    eq0 = solver.solve([(app, [HOT_PACKED_P, 1 - HOT_PACKED_P])])
     hot_packing_ok = bool(eq0.latencies_ns[0] < eq0.latencies_ns[1])
 
     return {

@@ -77,10 +77,8 @@ class ChaCounters:
     def observe(self, equilibrium: Equilibrium, duration_ns: float) -> None:
         """Integrate counters over ``duration_ns`` of the given steady state.
 
-        Accepts anything exposing ``tier_read_request_rate`` and
-        ``latencies_ns`` — in particular a colocated run's
-        :class:`~repro.memhw.fixedpoint.MultiEquilibrium`, since the CHA
-        sees the machine's total traffic regardless of who generated it.
+        The CHA sees the machine's total traffic regardless of which
+        application (or tenant) generated it.
         """
         if duration_ns < 0:
             raise ConfigurationError("duration must be non-negative")

@@ -1,9 +1,9 @@
 """Closed-loop rate/latency equilibrium solver.
 
-Given a machine (tiers + latency curves), an application core group whose
-traffic splits across tiers according to the current page placement, any
-pinned core groups (the antagonist), and extra per-tier traffic (page
-migrations), this module solves the coupled system
+Given a machine (tiers + latency curves), one or more application core
+groups whose traffic splits across tiers according to their page
+placements, any pinned core groups (the antagonist), and extra per-tier
+traffic (page migrations), this module solves the coupled system
 
     per-core demand rate  =  N * 64 / L_avg          (closed loop, §3.1)
     tier utilization      =  wire traffic / B_eff(mix)
@@ -31,7 +31,7 @@ state between quanta):
   tolerance; only the iteration count collapses.
 * **Memoization** — an exact-key LRU cache on the solver returns the
   previously computed :class:`Equilibrium` in O(1) when a quantum
-  re-poses the identical system (same app group, split, pinned groups,
+  re-poses the identical system (same app groups, splits, pinned groups,
   and extra traffic; the tier specs are fixed per solver instance).
   Cached results are shared objects: treat an :class:`Equilibrium` as
   immutable. Disable with ``--no-solver-cache`` / ``REPRO_SOLVER_CACHE=0``
@@ -98,11 +98,12 @@ def disable_solver_cache() -> None:
 
 @dataclass(frozen=True)
 class AppEquilibrium:
-    """One application's share of a multi-app equilibrium.
+    """One application's share of an equilibrium.
 
     Attributes:
         avg_latency_ns: Placement-weighted latency this application sees.
-        read_rate: Demand-read bandwidth (bytes/ns) of this application.
+        read_rate: Demand-read bandwidth (bytes/ns) of this application;
+            the throughput metric for GUPS-style workloads.
         split: The traffic split this application was solved with.
         tier_read_rate: This application's demand reads per tier
             (bytes/ns).
@@ -115,14 +116,27 @@ class AppEquilibrium:
 
 
 @dataclass(frozen=True)
-class MultiEquilibrium:
-    """Solved steady-state of the memory system shared by N applications.
+class Equilibrium:
+    """Solved steady-state of the memory system shared by N >= 1
+    applications.
 
     The aggregate fields describe the hardware (what the CHA observes);
     :attr:`apps` carries each application's own view, in the order the
-    applications were passed to :meth:`EquilibriumSolver.solve_multi`.
+    applications were passed to :meth:`EquilibriumSolver.solve`.
     Instances may be shared by the solver's memoization cache — treat
     them (including the array attributes) as immutable.
+
+    Attributes:
+        latencies_ns: Loaded latency of each tier (CHA-to-memory).
+        apps: Per-application views, in input order.
+        tier_wire_traffic: Total wire traffic per tier (bytes/ns), including
+            writebacks, pinned groups, and extra traffic.
+        tier_read_request_rate: Read requests per ns arriving at each tier —
+            what the CHA counters observe (applications + antagonist +
+            migration reads).
+        utilizations: Effective utilization of each tier.
+        effective_bandwidths: Mix-dependent achievable bandwidth per tier.
+        iterations: Fixed-point iterations used.
     """
 
     latencies_ns: np.ndarray
@@ -137,51 +151,6 @@ class MultiEquilibrium:
     def total_read_rate(self) -> float:
         """Summed demand-read bandwidth across all applications."""
         return float(sum(app.read_rate for app in self.apps))
-
-    @property
-    def measured_p(self) -> float:
-        """Traffic share of tier 0 as the CHA would measure it (all
-        applications, antagonist, and migration reads together)."""
-        total = float(self.tier_read_request_rate.sum())
-        if total <= 0:
-            return 0.0
-        return float(self.tier_read_request_rate[0]) / total
-
-
-@dataclass(frozen=True)
-class Equilibrium:
-    """Solved steady-state of the memory system for one configuration.
-
-    Instances may be shared by the solver's memoization cache — treat
-    them (including the array attributes) as immutable.
-
-    Attributes:
-        latencies_ns: Loaded latency of each tier (CHA-to-memory).
-        app_avg_latency_ns: Placement-weighted latency the application sees.
-        app_read_rate: Application demand-read bandwidth (bytes/ns); this is
-            the throughput metric for GUPS-style workloads.
-        app_split: The traffic split the application was solved with.
-        app_tier_read_rate: Application demand reads per tier (bytes/ns).
-        tier_wire_traffic: Total wire traffic per tier (bytes/ns), including
-            writebacks, pinned groups, and extra traffic.
-        tier_read_request_rate: Read requests per ns arriving at each tier —
-            what the CHA counters observe (application + antagonist +
-            migration reads).
-        utilizations: Effective utilization of each tier.
-        effective_bandwidths: Mix-dependent achievable bandwidth per tier.
-        iterations: Fixed-point iterations used.
-    """
-
-    latencies_ns: np.ndarray
-    app_avg_latency_ns: float
-    app_read_rate: float
-    app_split: np.ndarray
-    app_tier_read_rate: np.ndarray
-    tier_wire_traffic: np.ndarray
-    tier_read_request_rate: np.ndarray
-    utilizations: np.ndarray
-    effective_bandwidths: np.ndarray
-    iterations: int
 
     @property
     def measured_p(self) -> float:
@@ -298,10 +267,7 @@ class EquilibriumSolver:
         self._any_duplex = bool(self._duplex.any())
         if cache_size < 1:
             raise ConfigurationError("cache_size must be >= 1")
-        # Holds Equilibrium and MultiEquilibrium entries; the two key
-        # families are structurally disjoint (multi keys lead with a
-        # "multi" marker tuple).
-        self._cache: "OrderedDict[tuple, object]" = OrderedDict()
+        self._cache: "OrderedDict[tuple, Equilibrium]" = OrderedDict()
         self._cache_size = int(cache_size)
         self._cache_enabled = (solver_cache_enabled() if use_cache is None
                                else bool(use_cache))
@@ -358,19 +324,26 @@ class EquilibriumSolver:
 
     def solve(
         self,
-        app: CoreGroup,
-        split: Sequence[float],
+        apps: Sequence[Tuple[CoreGroup, Sequence[float]]],
         pinned: Sequence[Tuple[CoreGroup, int]] = (),
         extra_traffic: Optional[Sequence[Sequence[TrafficClass]]] = None,
         initial_latencies: Optional[Sequence[float]] = None,
     ) -> Equilibrium:
-        """Solve for the steady state.
+        """Solve one shared steady state for N >= 1 application groups.
+
+        Every group closes its own rate/latency loop through its own
+        placement split, but all of them load the same tiers — with
+        several groups this is the colocation coupling: tier latencies
+        (and therefore what the CHA observes) reflect *total* traffic,
+        while each application's demand follows only its own
+        placement-weighted latency.
 
         Args:
-            app: The application core group.
-            split: Fraction of application accesses served by each tier;
-                must be non-negative and sum to 1 (within tolerance) when
-                the application has any cores.
+            apps: ``(core_group, split)`` pairs, one per application, in
+                a stable order (the order tenants are declared). Each
+                split is the fraction of that application's accesses
+                served by each tier; it must be non-negative and sum to 1
+                (within tolerance) when the group has any cores.
             pinned: (group, tier index) pairs whose traffic goes entirely
                 to one tier (the antagonist).
             extra_traffic: Optional per-tier open-loop traffic classes
@@ -383,81 +356,14 @@ class EquilibriumSolver:
                 is deliberately *not* part of the memoization key.
 
         Returns:
-            The solved :class:`Equilibrium`. With memoization enabled an
-            identical configuration returns the cached instance — treat
-            it as immutable.
+            The solved :class:`Equilibrium`, whose ``apps`` tuple is in
+            input order. With memoization enabled an identical
+            configuration returns the cached instance — treat it as
+            immutable.
 
         Raises:
             ConfigurationError: On malformed inputs.
             ConvergenceError: If the damped iteration fails to settle.
-        """
-        split_arr = self._normalize_split(app, split)
-        pinned_t = self._normalize_pinned(pinned)
-        extra = self._normalize_extra(extra_traffic)
-        warm = self._normalize_warm(initial_latencies)
-
-        self.last_was_cache_hit = False
-        self.last_hit_residual = None
-        key = None
-        apps = ((app, split_arr),)
-        if self._cache_enabled:
-            key = (app, split_arr.tobytes(), pinned_t,
-                   tuple(tuple(classes) for classes in extra))
-            cached = self._cache_hit(key, apps, pinned_t, extra)
-            if cached is not None:
-                return cached
-
-        problem = _SolveProblem(apps, pinned_t, extra)
-        latencies, state, iteration = self._iterate(problem, warm)
-        app_states, wire, req, utils, beffs = state
-        app_avg_latency, app_read_rate, app_tier_read = app_states[0]
-        equilibrium = Equilibrium(
-            latencies_ns=latencies,
-            app_avg_latency_ns=app_avg_latency,
-            app_read_rate=app_read_rate,
-            app_split=split_arr,
-            app_tier_read_rate=app_tier_read,
-            tier_wire_traffic=wire,
-            tier_read_request_rate=req,
-            utilizations=utils,
-            effective_bandwidths=beffs,
-            iterations=iteration,
-        )
-        self._record_miss(iteration)
-        if self._cache_enabled:
-            self._cache_store(key, equilibrium)
-        return equilibrium
-
-    def solve_multi(
-        self,
-        apps: Sequence[Tuple[CoreGroup, Sequence[float]]],
-        pinned: Sequence[Tuple[CoreGroup, int]] = (),
-        extra_traffic: Optional[Sequence[Sequence[TrafficClass]]] = None,
-        initial_latencies: Optional[Sequence[float]] = None,
-    ) -> MultiEquilibrium:
-        """Solve one shared steady state for several application groups.
-
-        Every group closes its own rate/latency loop through its own
-        placement split, but all of them load the same tiers — this is
-        the colocation coupling: tier latencies (and therefore what the
-        CHA observes) reflect *total* traffic, while each application's
-        demand follows only its own placement-weighted latency.
-
-        Args:
-            apps: ``(core_group, split)`` pairs, one per application, in
-                a stable order (the order tenants are declared). Each
-                split obeys the same rules as :meth:`solve`'s.
-            pinned: As in :meth:`solve`.
-            extra_traffic: As in :meth:`solve` — typically the summed
-                migration traffic of every tenant.
-            initial_latencies: As in :meth:`solve`.
-
-        Returns:
-            A :class:`MultiEquilibrium` whose ``apps`` tuple is in input
-            order. For a single application the aggregate fields equal,
-            bit for bit, what :meth:`solve` returns for the same inputs
-            (both run the identical sweep); the two methods memoize
-            under distinct keys.
         """
         if not apps:
             raise ConfigurationError(
@@ -475,8 +381,8 @@ class EquilibriumSolver:
         self.last_hit_residual = None
         key = None
         if self._cache_enabled:
-            key = (("multi",) + tuple((group, split.tobytes())
-                                      for group, split in normalized),
+            key = (tuple((group, split.tobytes())
+                         for group, split in normalized),
                    pinned_t,
                    tuple(tuple(classes) for classes in extra))
             cached = self._cache_hit(key, normalized, pinned_t, extra)
@@ -486,7 +392,7 @@ class EquilibriumSolver:
         problem = _SolveProblem(normalized, pinned_t, extra)
         latencies, state, iteration = self._iterate(problem, warm)
         app_states, wire, req, utils, beffs = state
-        equilibrium = MultiEquilibrium(
+        equilibrium = Equilibrium(
             latencies_ns=latencies,
             apps=tuple(
                 AppEquilibrium(avg_latency_ns=avg, read_rate=rate,
@@ -505,7 +411,7 @@ class EquilibriumSolver:
             self._cache_store(key, equilibrium)
         return equilibrium
 
-    # -- shared solve plumbing -------------------------------------------
+    # -- solve plumbing --------------------------------------------------
 
     def _normalize_split(self, app: CoreGroup,
                          split: Sequence[float]) -> np.ndarray:

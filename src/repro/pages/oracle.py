@@ -129,7 +129,7 @@ def best_case_sweep(
         )
         if np.isnan(p):
             continue
-        eq = solver.solve(app, [p, 1.0 - p], pinned=pinned,
+        eq = solver.solve([(app, [p, 1.0 - p])], pinned=pinned,
                           initial_latencies=warm)
         if chain_warm_starts:
             warm = eq.latencies_ns
@@ -137,7 +137,7 @@ def best_case_sweep(
             PlacementPoint(
                 hot_fraction=float(fraction),
                 default_probability=p,
-                throughput=eq.app_read_rate,
+                throughput=eq.apps[0].read_rate,
                 equilibrium=eq,
             )
         )
@@ -165,8 +165,8 @@ def sweep_hot_fraction(
     for p in p_values:
         if not 0 <= p <= 1:
             raise ConfigurationError("p values must be in [0, 1]")
-        eq = solver.solve(app, [p, 1.0 - p], pinned=pinned,
+        eq = solver.solve([(app, [p, 1.0 - p])], pinned=pinned,
                           initial_latencies=warm)
         warm = eq.latencies_ns
-        results.append((float(p), eq.app_read_rate))
+        results.append((float(p), eq.apps[0].read_rate))
     return results

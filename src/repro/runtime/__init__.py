@@ -2,8 +2,7 @@
 steady-state experiment running."""
 
 from repro.runtime.metrics import MetricsRecorder, QuantumRecord
-from repro.runtime.loop import SimulationLoop
-from repro.runtime.colocation import ColocatedLoop, TenantSpec
+from repro.runtime.loop import SimulationLoop, TenantSpec
 from repro.runtime.experiment import (
     RepeatedResult,
     SteadyStateResult,
@@ -13,7 +12,6 @@ from repro.runtime.experiment import (
 from repro.runtime.export import to_csv, to_json
 
 __all__ = [
-    "ColocatedLoop",
     "MetricsRecorder",
     "QuantumRecord",
     "SimulationLoop",

@@ -1,28 +1,53 @@
-"""The quantum-driven simulation loop.
+"""The quantum-driven simulation loop, for N >= 1 tenants.
 
-Each quantum the loop:
+A run hosts one or more **tenants** — each a (workload, tiering system,
+placement, executor) tuple with its own controller — on one machine,
+coupled through one shared hardware equilibrium. A solo run is simply
+the one-tenant case. Each quantum the loop:
 
-1. advances the workload (possibly changing its distribution) and the
-   antagonist schedule;
-2. derives the application's tier split from the current placement and
-   the true access distribution;
-3. solves the hardware equilibrium — including last quantum's migration
-   traffic — and integrates the CHA/MBM counters;
-4. hands the tiering system its observables and collects a migration
-   plan;
-5. executes the plan under the applicable byte budget, remembering the
+1. advances every tenant's workload (possibly changing its
+   distribution) and the antagonist schedule;
+2. derives each tenant's tier split from its placement and its true
+   access distribution;
+3. solves one hardware equilibrium over every tenant's demand —
+   including last quantum's migration traffic — and integrates the
+   CHA/MBM counters;
+4. hands each tenant's tiering system its observables and collects a
+   migration plan;
+5. executes each plan under the tenant's byte budget, remembering the
    copy traffic for the next solve;
-6. records metrics.
+6. records metrics per tenant, plus an aggregate record (summed
+   throughput, shared latencies) that for one tenant is its own record.
 
 Migration traffic deliberately lands in the *next* quantum's equilibrium:
 the copies decided at the end of quantum k physically overlap the
-application traffic of quantum k+1.
+application traffic of quantum k+1 (summed across tenants in declaration
+order).
+
+What a tenant sees under colocation:
+
+* Its CHA sample integrates the *machine* equilibrium (total request
+  rates, shared loaded latencies — exactly what the hardware counters
+  show any observer), while its MBM sample and access feed are scoped
+  to its own traffic, as resource-monitoring IDs scope MBM on real
+  hardware.
+* It migrates only its own pages, inside a private
+  :class:`~repro.pages.placement.PlacementState` whose per-tier
+  capacities are its grant from the
+  :class:`~repro.pages.placement.CapacityArbiter`; migration budgets are
+  enforced per tenant by private executors. The machine-level
+  ``check_colocation`` invariant closes the loop: grants and placed
+  bytes can never over-commit a physical tier.
+* Its events are emitted through a
+  :class:`~repro.obs.tracer.TenantTracer`, so colocated traces are
+  tenant-labeled without any controller knowing about colocation.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from time import perf_counter_ns
-from typing import Callable, Optional, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,10 +67,14 @@ from repro.obs.events import TRACE_SCHEMA_VERSION
 from repro.obs.metrics import METRICS
 from repro.obs.placement import PlacementObserver, placement_audit_enabled
 from repro.obs.profile import Counters, PhaseProfiler
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import NULL_TRACER, TenantTracer
 from repro.pages.migration import MigrationExecutor
 from repro.pages.pagestate import PageArray
-from repro.pages.placement import PlacementState, fill_default_first
+from repro.pages.placement import (
+    CapacityArbiter,
+    PlacementState,
+    fill_default_first,
+)
 from repro.runtime.metrics import MetricsRecorder, QuantumRecord
 from repro.tiering.base import QuantumContext, TieringSystem
 from repro.tracking.feed import AccessFeed
@@ -90,29 +119,130 @@ def coerce_intensity(value, time_s: Optional[float] = None) -> int:
     return intensity
 
 
+
+
+@dataclass(frozen=True)
+class TenantSpec:
+    """One tenant of a colocated run.
+
+    Attributes:
+        name: Unique tenant label — appears on every tenant-scoped trace
+            event, metric series, and report section.
+        workload: The tenant's workload instance (owns its page count
+            and access distribution).
+        system: The tenant's tiering system instance (owns its
+            controller state; must not be shared between tenants).
+        weight: Optional capacity-arbitration weight; None means the
+            tenant's working-set bytes (footprint-proportional grants).
+    """
+
+    name: str
+    workload: Workload
+    system: TieringSystem
+    weight: Optional[float] = None
+
+
+@dataclass
+class _Tenant:
+    """Runtime state of one tenant (private to the loop)."""
+
+    spec: TenantSpec
+    tracer: object
+    checker: object
+    rng: np.random.Generator
+    cha: ChaCounters
+    mbm: MbmMonitor
+    placement: PlacementState
+    executor: MigrationExecutor
+    grant: tuple
+    copy_read_debt: np.ndarray
+    copy_write_debt: np.ndarray
+    metrics: MetricsRecorder = field(default_factory=MetricsRecorder)
+    placement_obs: Optional[PlacementObserver] = None
+    audit_warm: Optional[np.ndarray] = None
+
+    @property
+    def name(self) -> str:
+        return self.spec.name
+
+    def app_core_group(self):
+        """The tenant's core group with its system's throughput scale
+        (e.g. MEMTIS hugepage-split TLB pressure) applied."""
+        group = self.spec.workload.core_group()
+        scale = self.spec.system.throughput_scale()
+        if scale != 1.0:
+            group = group.with_mlp(group.mlp * scale)
+        return group
+
+
 class SimulationLoop:
-    """Binds machine, workload, and tiering system into a running sim."""
+    """Binds a machine and N >= 1 tenants into a running simulation.
+
+    Pass either ``workload`` and ``system`` (a solo run) or ``tenants``
+    (a colocated run). A solo run is one unlabeled tenant: its events
+    carry no ``tenant`` field, its random streams are seeded from
+    ``seed`` and ``seed + 1``, and ``workload``/``system``/
+    ``placement``/``executor`` name its parts directly. Declared tenants
+    are labeled, derive their streams from ``[seed, i]`` and
+    ``[seed + 1, i]`` (so adding a tenant never perturbs the others),
+    and are checked for cross-tenant conservation every quantum under
+    invariant checking. Per-tenant series live in :attr:`tenant_metrics`.
+
+    Args:
+        machine: The shared machine.
+        workload: The solo run's workload.
+        system: The solo run's tiering system.
+        quantum_ms: Runtime quantum.
+        contention: Antagonist intensity, as an int or a callable of
+            simulated time (validated by :func:`coerce_intensity`).
+        cha_noise_sigma: Lognormal noise on each tenant's CHA samples.
+        migration_limit_bytes: Static per-quantum migration budget,
+            enforced per tenant (each tenant has its own executor and
+            token bucket, as each real tenant's kernel threads would).
+        seed: Base seed of every random stream.
+        tracer: Optional tracer.
+        profile: Enable the phase profiler (phases aggregate across
+            tenants).
+        checker: Optional checker override; declared tenants get
+            per-tenant checkers that follow its enabled state.
+        tenants: Tenant declarations; order is the solve and capacity
+            arbitration order and must stay stable for determinism.
+    """
 
     def __init__(
         self,
         machine: Machine,
-        workload: Workload,
-        system: TieringSystem,
+        workload: Optional[Workload] = None,
+        system: Optional[TieringSystem] = None,
         quantum_ms: float = 10.0,
         contention: ContentionSchedule = 0,
         cha_noise_sigma: float = 0.01,
         migration_limit_bytes: int = DEFAULT_MIGRATION_LIMIT_PER_QUANTUM,
-        initial_placement: Optional[np.ndarray] = None,
         seed: int = 1234,
         tracer=None,
         profile: bool = False,
         checker=None,
+        tenants: Optional[Sequence[TenantSpec]] = None,
     ) -> None:
         if quantum_ms <= 0:
             raise ConfigurationError("quantum must be positive")
+        if (tenants is None) == (workload is None or system is None):
+            raise ConfigurationError(
+                "pass a workload and a system, or tenants (not both)"
+            )
+        self.colocated = tenants is not None
+        if not self.colocated:
+            tenants = [TenantSpec(workload.name, workload, system)]
+        names = [spec.name for spec in tenants]
+        if len(set(names)) != len(names):
+            raise ConfigurationError(
+                f"tenant names must be unique, got {names}"
+            )
+        if len({id(spec.system) for spec in tenants}) != len(tenants):
+            raise ConfigurationError(
+                "tenants must not share tiering-system instances"
+            )
         self.machine = machine
-        self.workload = workload
-        self.system = system
         self.tracer = NULL_TRACER if tracer is None else tracer
         # Invariant checking: an explicit checker wins; otherwise honor
         # the process-wide REPRO_CHECK switch (the CLI's --check).
@@ -122,11 +252,11 @@ class SimulationLoop:
         self.checker = checker
         self.profiler = PhaseProfiler(enabled=profile)
         self.counters = Counters()
+        n_tiers = len(machine.tiers)
         # Fleet metrics (REPRO_METRICS / --metrics). Metric handles are
         # resolved once here; the per-step cost when disabled is a
         # single attribute check on the module-level registry.
         if METRICS.enabled:
-            n_tiers_m = len(machine.tiers)
             self._m_quantum_wall = METRICS.histogram(
                 "repro_quantum_wall_ns", start=1e3, factor=2.0,
                 n_buckets=24,
@@ -138,7 +268,7 @@ class SimulationLoop:
                     factor=1.5, n_buckets=24,
                     help=f"CPU-observed loaded latency of tier {i} (ns)",
                 )
-                for i in range(n_tiers_m)
+                for i in range(n_tiers)
             ]
             self._m_quanta = METRICS.counter(
                 "repro_quanta_total", help="simulation quanta executed")
@@ -154,7 +284,6 @@ class SimulationLoop:
         else:
             level = coerce_intensity(contention)
             self._contention = lambda _t: level
-        self._rng = np.random.default_rng(seed)
 
         self.solver = EquilibriumSolver(
             machine.tiers, validate_cache_hits=self.checker.enabled
@@ -162,153 +291,223 @@ class SimulationLoop:
         # Warm start: the previous quantum's solved latencies seed the
         # next solve (the system sits at a steady state between quanta).
         self._warm_latencies: Optional[np.ndarray] = None
-        self.cha = ChaCounters(
-            n_tiers=len(machine.tiers),
-            noise_sigma=cha_noise_sigma,
-            rng=np.random.default_rng(seed + 1),
-        )
-        app = workload.core_group()
-        self.mbm = MbmMonitor(
-            n_tiers=len(machine.tiers),
-            traffic_multiplier=app.traffic_multiplier(),
-        )
-
-        pages = PageArray.uniform(workload.n_pages, workload.page_bytes)
-        capacities = [t.capacity_bytes for t in machine.tiers]
-        self.placement = PlacementState(pages, capacities)
-        if initial_placement is None:
-            fill_default_first(self.placement)
-        else:
-            placement_arr = np.asarray(initial_placement, dtype=np.int64)
-            if placement_arr.shape != (pages.n_pages,):
-                raise ConfigurationError("initial placement length mismatch")
-            for tier in range(len(capacities)):
-                self.placement.move(
-                    np.nonzero(placement_arr == tier)[0], tier
-                )
-
-        action_period_s = getattr(system, "action_period_s", None)
-        if action_period_s:
-            burst_quanta = max(2, int(round(action_period_s * 1e3
-                                            / quantum_ms)))
-        else:
-            burst_quanta = 2
-        self.executor = MigrationExecutor(
-            self.placement, migration_limit_bytes,
-            burst_quanta=burst_quanta,
-            tracer=self.tracer,
-        )
         # Placement observability (REPRO_PLACEMENT_AUDIT /
         # --placement-audit): ledger + flow samples each quantum plus a
         # periodic misplacement-gap audit. The audit runs through a
         # private solver with private warm-start state so an audited run
         # is bit-identical to an unaudited one.
-        self._placement_obs: Optional[PlacementObserver] = None
-        self._audit_solver: Optional[EquilibriumSolver] = None
-        self._audit_warm: Optional[np.ndarray] = None
-        if placement_audit_enabled() and self.tracer.enabled:
-            self._placement_obs = PlacementObserver(
-                n_tiers=len(machine.tiers), tracer=self.tracer,
-            )
-            if len(machine.tiers) == 2:
-                self._audit_solver = EquilibriumSolver(machine.tiers)
-        self.metrics = MetricsRecorder()
+        audited = placement_audit_enabled() and self.tracer.enabled
+        self._audit_solver: Optional[EquilibriumSolver] = (
+            EquilibriumSolver(machine.tiers)
+            if audited and n_tiers == 2 else None
+        )
+
+        # Arbitrate the shared capacity once, up front: grants are the
+        # tenants' placement capacities for the whole run (a lone tenant
+        # is granted the whole machine).
+        self._capacities = tuple(t.capacity_bytes for t in machine.tiers)
+        working_sets = [spec.workload.n_pages * spec.workload.page_bytes
+                        for spec in tenants]
+        weights = None
+        if any(spec.weight is not None for spec in tenants):
+            weights = [
+                float(spec.weight) if spec.weight is not None else float(ws)
+                for spec, ws in zip(tenants, working_sets)
+            ]
+        grants = CapacityArbiter(self._capacities).grant(working_sets,
+                                                         weights=weights)
+        self._tenants: List[_Tenant] = []
+        for i, (spec, grant) in enumerate(zip(tenants, grants)):
+            if self.colocated:
+                tenant_tracer = TenantTracer(self.tracer, spec.name)
+                tenant_checker = (Checker(tracer=tenant_tracer)
+                                  if self.checker.enabled else NULL_CHECKER)
+                rng_seed, cha_seed = [seed, i], [seed + 1, i]
+            else:
+                tenant_tracer, tenant_checker = self.tracer, self.checker
+                rng_seed, cha_seed = seed, seed + 1
+            pages = PageArray.uniform(spec.workload.n_pages,
+                                      spec.workload.page_bytes)
+            placement = PlacementState(pages, grant)
+            fill_default_first(placement)
+            action_period_s = getattr(spec.system, "action_period_s", None)
+            if action_period_s:
+                burst_quanta = max(2, int(round(action_period_s * 1e3
+                                                / quantum_ms)))
+            else:
+                burst_quanta = 2
+            self._tenants.append(_Tenant(
+                spec=spec,
+                tracer=tenant_tracer,
+                checker=tenant_checker,
+                rng=np.random.default_rng(rng_seed),
+                cha=ChaCounters(
+                    n_tiers=n_tiers,
+                    noise_sigma=cha_noise_sigma,
+                    rng=np.random.default_rng(cha_seed),
+                ),
+                mbm=MbmMonitor(
+                    n_tiers=n_tiers,
+                    traffic_multiplier=(
+                        spec.workload.core_group().traffic_multiplier()),
+                ),
+                placement=placement,
+                executor=MigrationExecutor(
+                    placement, migration_limit_bytes,
+                    burst_quanta=burst_quanta,
+                    tracer=tenant_tracer,
+                ),
+                grant=tuple(grant),
+                # Copy "debt": bytes of migration traffic not yet charged
+                # to the hardware model. Batched migrations (MEMTIS's
+                # 500 ms kmigrated) update placement instantly but their
+                # copies are streamed at the configured migration rate
+                # over the following quanta.
+                copy_read_debt=np.zeros(n_tiers),
+                copy_write_debt=np.zeros(n_tiers),
+                placement_obs=(
+                    PlacementObserver(n_tiers=n_tiers, tracer=tenant_tracer)
+                    if audited else None),
+            ))
+            spec.system.attach(placement)
+            spec.system.on_configure(machine, migration_limit_bytes,
+                                     self.quantum_ns)
+        first = self._tenants[0]
+        self.workload, self.system = first.spec.workload, first.spec.system
+        self.placement, self.executor = first.placement, first.executor
+        self._copy_rate_limit = float(migration_limit_bytes)
+        # One tenant's records are the run's; several are aggregated.
+        self.metrics = (first.metrics if len(self._tenants) == 1
+                        else MetricsRecorder())
         self.time_s = 0.0
         self._epoch = 0
         # Last antagonist intensity observed; a change mid-run is the
         # paper's Fig. 4c dynamism and opens a new diagnostics epoch.
         self._last_intensity: Optional[int] = None
-        # Copy "debt": bytes of migration traffic not yet charged to the
-        # hardware model. Batched migrations (MEMTIS's 500 ms kmigrated)
-        # update placement instantly but their copies are streamed at the
-        # configured migration rate over the following quanta.
-        n_tiers = len(machine.tiers)
-        self._copy_read_debt = np.zeros(n_tiers)
-        self._copy_write_debt = np.zeros(n_tiers)
-        self._copy_rate_limit = float(migration_limit_bytes)
-
-        system.attach(self.placement)
-        system.on_configure(machine, migration_limit_bytes, self.quantum_ns)
         if self.tracer.enabled:
+            labels = {}
+            if self.colocated:
+                labels["tenants"] = [
+                    {"tenant": spec.name, "workload": spec.workload.name,
+                     "system": spec.system.name}
+                    for spec in tenants
+                ]
             self.tracer.emit(
                 "run_start",
                 schema_version=TRACE_SCHEMA_VERSION,
-                system=system.name,
-                workload=workload.name,
-                n_tiers=len(machine.tiers),
+                system="colocation" if self.colocated else system.name,
+                workload="+".join(spec.workload.name for spec in tenants),
+                n_tiers=n_tiers,
                 quantum_ms=quantum_ms,
                 migration_limit_bytes=int(migration_limit_bytes),
+                **labels,
             )
 
+    # -- introspection ----------------------------------------------------
+
     @property
-    def app_core_group(self):
-        """The application core group with the system's throughput scale
-        (e.g. MEMTIS hugepage-split TLB pressure) applied."""
-        group = self.workload.core_group()
-        scale = self.system.throughput_scale()
-        if scale != 1.0:
-            group = group.with_mlp(group.mlp * scale)
-        return group
+    def tenant_names(self) -> List[str]:
+        """Tenant names in declaration (and solve) order."""
+        return [t.name for t in self._tenants]
+
+    @property
+    def tenant_metrics(self) -> Dict[str, MetricsRecorder]:
+        """Per-tenant metrics recorders, keyed by tenant name."""
+        return {t.name: t.metrics for t in self._tenants}
+
+    @property
+    def tenant_placements(self) -> Dict[str, PlacementState]:
+        """Per-tenant placements, keyed by tenant name."""
+        return {t.name: t.placement for t in self._tenants}
+
+    @property
+    def tenant_systems(self) -> Dict[str, TieringSystem]:
+        """Per-tenant tiering systems, keyed by tenant name."""
+        return {t.name: t.spec.system for t in self._tenants}
+
+    @property
+    def tenant_grants(self) -> Dict[str, tuple]:
+        """Arbitrated per-tier byte grants, keyed by tenant name."""
+        return {t.name: t.grant for t in self._tenants}
+
+    # -- per-quantum cycle ------------------------------------------------
 
     def _drain_copy_debt(self):
         """Charge up to one quantum's worth of copy traffic this quantum.
 
+        Each tenant's copies ride its own migration budget; the charged
+        traffic classes are summed across tenants in declaration order.
+
         Returns:
-            (per-tier traffic-class lists or None, bytes charged) — the
-            migration bandwidth presented to the equilibrium solver and
-            the amount recorded as this quantum's migration volume.
+            (per-tier traffic-class lists or None, bytes charged per
+            tenant) — the migration bandwidth presented to the
+            equilibrium solver and the amounts recorded as this
+            quantum's migration volume.
         """
         from repro.memhw.latency import TrafficClass
 
-        total_debt = self._copy_read_debt.sum() + self._copy_write_debt.sum()
-        if total_debt <= 0:
-            return None, 0
-        # Reads and writes of one copy happen together; scale both sides
-        # by the same factor so the rate limit covers moved bytes (the
-        # read side), matching the executor's accounting.
-        moved_debt = self._copy_read_debt.sum()
-        fraction = min(1.0, self._copy_rate_limit / max(moved_debt, 1.0))
-        charged_read = self._copy_read_debt * fraction
-        charged_write = self._copy_write_debt * fraction
-        self._copy_read_debt -= charged_read
-        self._copy_write_debt -= charged_write
-        traffic = []
-        for t in range(len(charged_read)):
-            classes = []
-            if charged_read[t] > 0:
-                classes.append(TrafficClass(
-                    bandwidth=charged_read[t] / self.quantum_ns,
-                    randomness=0.3, read_fraction=1.0,
-                ))
-            if charged_write[t] > 0:
-                classes.append(TrafficClass(
-                    bandwidth=charged_write[t] / self.quantum_ns,
-                    randomness=0.3, read_fraction=0.0,
-                ))
-            traffic.append(classes)
-        return traffic, int(charged_read.sum())
+        traffic = None
+        charged = []
+        for tenant in self._tenants:
+            read_debt = tenant.copy_read_debt
+            write_debt = tenant.copy_write_debt
+            if read_debt.sum() + write_debt.sum() <= 0:
+                charged.append(0)
+                continue
+            # Reads and writes of one copy happen together; scale both
+            # sides by the same factor so the rate limit covers moved
+            # bytes (the read side), matching the executor's accounting.
+            fraction = min(1.0, self._copy_rate_limit
+                           / max(read_debt.sum(), 1.0))
+            charged_read = read_debt * fraction
+            charged_write = write_debt * fraction
+            read_debt -= charged_read
+            write_debt -= charged_write
+            if traffic is None:
+                traffic = [[] for _ in range(len(charged_read))]
+            for t, classes in enumerate(traffic):
+                if charged_read[t] > 0:
+                    classes.append(TrafficClass(
+                        bandwidth=charged_read[t] / self.quantum_ns,
+                        randomness=0.3, read_fraction=1.0,
+                    ))
+                if charged_write[t] > 0:
+                    classes.append(TrafficClass(
+                        bandwidth=charged_write[t] / self.quantum_ns,
+                        randomness=0.3, read_fraction=0.0,
+                    ))
+            charged.append(int(charged_read.sum()))
+        return traffic, charged
 
-    def _audit_evaluate(self, app, antagonist):
-        """Steady-state evaluation callback for the misplacement audit.
+    def _audit_evaluate(self, index: int, apps, antagonist):
+        """Steady-state evaluation callback for tenant ``index``'s
+        misplacement audit.
 
-        Solves on the private audit solver with private warm-start
-        chaining; the loop's solver, cache, and warm latencies are never
-        touched, which is what keeps audited runs bit-identical.
+        Varies only that tenant's split while holding every other
+        tenant's current split (and the antagonist) fixed — the audit
+        asks "given everybody else's behavior this quantum, where should
+        *this* tenant's pages sit?". Solves on the private audit solver
+        with per-tenant warm-start chaining; the loop's solver, cache,
+        and warm latencies are never touched, which is what keeps
+        audited runs bit-identical.
         """
         solver = self._audit_solver
+        tenant = self._tenants[index]
 
         def evaluate(p: float):
-            eq = solver.solve(
-                app, [p, 1.0 - p], pinned=[(antagonist, 0)],
-                initial_latencies=self._audit_warm,
-            )
-            self._audit_warm = eq.latencies_ns
-            return eq.latencies_ns, eq.app_read_rate
+            probe = [
+                (group, [p, 1.0 - p] if j == index else split)
+                for j, (group, split) in enumerate(apps)
+            ]
+            eq = solver.solve(probe, pinned=[(antagonist, 0)],
+                              initial_latencies=tenant.audit_warm)
+            tenant.audit_warm = eq.latencies_ns
+            return eq.latencies_ns, eq.apps[index].read_rate
 
         return evaluate
 
     def step(self) -> QuantumRecord:
-        """Advance the simulation by one quantum."""
+        """Advance every tenant by one quantum; returns the aggregate."""
         t = self.time_s
         tracer = self.tracer
         profiler = self.profiler
@@ -318,22 +517,30 @@ class SimulationLoop:
         if tracer.enabled:
             tracer.time_s = t
         profiler.start()
-        shifted = self.workload.advance(t)
-        # Dynamic workloads report hot-set reshuffles; the event is what
-        # lets repro.obs.diagnose segment the run into epochs and judge
-        # per-epoch (re)convergence.
-        if shifted and tracer.enabled:
-            self._epoch += 1
-            tracer.emit("workload_shift", epoch=self._epoch)
-        probs = self.workload.access_probabilities()
-        split = self.placement.tier_probabilities(probs)
-        # Hardware-managed systems (memory mode) steer traffic without
-        # moving pages; they publish the split they produce directly.
-        override_fn = getattr(self.system, "traffic_split_override", None)
-        if override_fn is not None:
-            override = override_fn()
-            if override is not None:
-                split = override
+        tenants = self._tenants
+        probs, splits, shifted = [], [], []
+        for tenant in tenants:
+            workload = tenant.spec.workload
+            moved = bool(workload.advance(t))
+            # Dynamic workloads report hot-set reshuffles; the event is
+            # what lets repro.obs.diagnose segment the run into epochs
+            # and judge per-epoch (re)convergence.
+            if moved and tracer.enabled:
+                self._epoch += 1
+                tenant.tracer.emit("workload_shift", epoch=self._epoch)
+            tenant_probs = workload.access_probabilities()
+            split = tenant.placement.tier_probabilities(tenant_probs)
+            # Hardware-managed systems (memory mode) steer traffic
+            # without moving pages; they publish the split they produce.
+            override_fn = getattr(tenant.spec.system,
+                                  "traffic_split_override", None)
+            if override_fn is not None:
+                override = override_fn()
+                if override is not None:
+                    split = override
+            probs.append(tenant_probs)
+            splits.append(split)
+            shifted.append(moved)
         intensity = coerce_intensity(self._contention(t), time_s=t)
         if intensity != self._last_intensity:
             previous = self._last_intensity
@@ -348,22 +555,24 @@ class SimulationLoop:
                 )
         antagonist = antagonist_core_group(intensity,
                                            self.machine.antagonist)
-        app = self.app_core_group
         dt_workload = profiler.lap("workload_advance")
-        migration_traffic, charged_bytes = self._drain_copy_debt()
+
+        migration_traffic, charged = self._drain_copy_debt()
+        apps = [(tenant.app_core_group(), split)
+                for tenant, split in zip(tenants, splits)]
         equilibrium = self.solver.solve(
-            app=app,
-            split=split,
+            apps,
             pinned=[(antagonist, 0)],
             extra_traffic=migration_traffic,
             initial_latencies=self._warm_latencies,
         )
         self._warm_latencies = equilibrium.latencies_ns
-        self.cha.observe(equilibrium, self.quantum_ns)
-        self.mbm.observe(equilibrium, self.quantum_ns)
+        for tenant, app_eq in zip(tenants, equilibrium.apps):
+            tenant.cha.observe(equilibrium, self.quantum_ns)
+            tenant.mbm.observe_rates(app_eq.tier_read_rate, self.quantum_ns)
         if self.checker.enabled:
             self.checker.check_equilibrium(
-                t, equilibrium.latencies_ns, equilibrium.app_read_rate,
+                t, equilibrium.latencies_ns, equilibrium.total_read_rate,
                 equilibrium.measured_p,
             )
             if self.solver.last_was_cache_hit:
@@ -376,67 +585,118 @@ class SimulationLoop:
                 "solver_converged",
                 iterations=equilibrium.iterations,
                 latencies_ns=equilibrium.latencies_ns,
-                app_read_rate=equilibrium.app_read_rate,
+                app_read_rate=equilibrium.total_read_rate,
                 measured_p=equilibrium.measured_p,
                 cached=self.solver.last_was_cache_hit,
             )
+        counters = self.counters
+        counters.inc("quanta")
+        if self.solver.last_was_cache_hit:
+            counters.inc("solver_cache_hits")
+        else:
+            counters.inc("solver_cache_misses")
+            counters.inc("solver_iterations", equilibrium.iterations)
 
-        feed = AccessFeed(
-            access_probs=probs,
-            request_rate=equilibrium.app_read_rate / 64.0,
-            quantum_ns=self.quantum_ns,
-            rng=self._rng,
-        )
-        ctx = QuantumContext(
-            time_s=t,
-            quantum_ns=self.quantum_ns,
-            placement=self.placement,
-            cha=self.cha.sample_and_reset(),
-            mbm=self.mbm.sample_and_reset(),
-            feed=feed,
-            rng=self._rng,
-            tracer=tracer,
-        )
-        decision = self.system.quantum(ctx)
-        dt_decide = profiler.lap("tiering_decision")
-        checker = self.checker
-        if checker.enabled:
-            shift = find_shift_computer(self.system)
-            if shift is not None:
-                checker.check_shift(t, shift)
-            # Snapshot after the decision: systems may legitimately
-            # reshape the page table (MEMTIS hugepage splits); only the
-            # executor's moves must conserve pages.
-            snapshot = checker.placement_snapshot(self.placement)
-        result = self.executor.execute(
-            decision.plan, self.quantum_ns, decision.budget_bytes
-        )
-        if checker.enabled:
-            checker.check_migration(
-                t, self.placement, result, decision.budget_bytes, snapshot
+        dt_decide = 0
+        dt_migrate = 0
+        records = []
+        for i, tenant in enumerate(tenants):
+            app_eq = equilibrium.apps[i]
+            feed = AccessFeed(
+                access_probs=probs[i],
+                request_rate=app_eq.read_rate / 64.0,
+                quantum_ns=self.quantum_ns,
+                rng=tenant.rng,
             )
-            checker.check_placement_flows(
-                t, self.placement, result, snapshot
+            ctx = QuantumContext(
+                time_s=t,
+                quantum_ns=self.quantum_ns,
+                placement=tenant.placement,
+                cha=tenant.cha.sample_and_reset(),
+                mbm=tenant.mbm.sample_and_reset(),
+                feed=feed,
+                rng=tenant.rng,
+                tracer=tenant.tracer,
             )
-        if result.bytes_moved > 0:
-            self._copy_read_debt += result.read_bytes_per_tier
-            self._copy_write_debt += result.write_bytes_per_tier
-        dt_migrate = profiler.lap("migration_execute")
-        if self._placement_obs is not None:
-            evaluate = None
-            audit_key = None
-            if (self._audit_solver is not None
-                    and self._placement_obs.audit_due()):
-                evaluate = self._audit_evaluate(app, antagonist)
-                audit_key = (app, antagonist)
-            self._placement_obs.observe_quantum(
-                access_probs=probs,
-                placement=self.placement,
-                result=result,
-                p_actual=float(split[0]),
-                evaluate=evaluate,
-                probs_changed=bool(shifted),
-                audit_key=audit_key,
+            decision = tenant.spec.system.quantum(ctx)
+            dt_decide += profiler.lap("tiering_decision")
+            checker = tenant.checker
+            if checker.enabled:
+                shift = find_shift_computer(tenant.spec.system)
+                if shift is not None:
+                    checker.check_shift(t, shift)
+                # Snapshot after the decision: systems may legitimately
+                # reshape the page table (MEMTIS hugepage splits); only
+                # the executor's moves must conserve pages.
+                snapshot = checker.placement_snapshot(tenant.placement)
+            result = tenant.executor.execute(
+                decision.plan, self.quantum_ns, decision.budget_bytes
+            )
+            if checker.enabled:
+                checker.check_migration(
+                    t, tenant.placement, result, decision.budget_bytes,
+                    snapshot,
+                )
+                checker.check_placement_flows(
+                    t, tenant.placement, result, snapshot
+                )
+            if result.bytes_moved > 0:
+                tenant.copy_read_debt += result.read_bytes_per_tier
+                tenant.copy_write_debt += result.write_bytes_per_tier
+            dt_migrate += profiler.lap("migration_execute")
+            if tenant.placement_obs is not None:
+                evaluate = None
+                audit_key = None
+                if (self._audit_solver is not None
+                        and tenant.placement_obs.audit_due()):
+                    evaluate = self._audit_evaluate(i, apps, antagonist)
+                    # The probe equilibrium holds every *other* tenant's
+                    # split fixed; the audited tenant's own split is the
+                    # probe variable and must stay out of the key.
+                    audit_key = (
+                        tuple(
+                            (group,
+                             None if j == i else tuple(map(float, split)))
+                            for j, (group, split) in enumerate(apps)
+                        ),
+                        antagonist,
+                    )
+                tenant.placement_obs.observe_quantum(
+                    access_probs=probs[i],
+                    placement=tenant.placement,
+                    result=result,
+                    p_actual=float(splits[i][0]),
+                    evaluate=evaluate,
+                    probs_changed=shifted[i],
+                    audit_key=audit_key,
+                )
+
+            record = QuantumRecord(
+                time_s=t,
+                throughput=app_eq.read_rate,
+                latencies_ns=(
+                    equilibrium.latencies_ns + self.machine.cpu_to_cha_ns
+                ),
+                p_true=float(splits[i][0]),
+                p_measured=equilibrium.measured_p,
+                app_tier_bandwidth=(
+                    app_eq.tier_read_rate * apps[i][0].traffic_multiplier()
+                ),
+                migration_bytes=charged[i],
+                antagonist_intensity=intensity,
+            )
+            tenant.metrics.record(record)
+            records.append(record)
+            counters.inc("migrated_bytes", charged[i])
+            counters.inc("moves_applied", result.moves_applied)
+            counters.inc("moves_deferred", result.moves_deferred)
+            counters.inc("moves_skipped", result.moves_skipped)
+
+        # Cross-tenant conservation: the machine-level invariant.
+        if self.colocated and self.checker.enabled:
+            self.checker.check_colocation(
+                t, self._capacities,
+                [(tenant.name, tenant.placement) for tenant in tenants],
             )
         if profiler.enabled and tracer.enabled:
             tracer.emit(
@@ -449,40 +709,37 @@ class SimulationLoop:
                 },
             )
 
-        record = QuantumRecord(
-            time_s=t,
-            throughput=equilibrium.app_read_rate,
-            latencies_ns=(
-                equilibrium.latencies_ns + self.machine.cpu_to_cha_ns
-            ),
-            p_true=float(split[0]),
-            p_measured=equilibrium.measured_p,
-            app_tier_bandwidth=(
-                equilibrium.app_tier_read_rate * app.traffic_multiplier()
-            ),
-            migration_bytes=charged_bytes,
-            antagonist_intensity=intensity,
-        )
-        self.metrics.record(record)
-        counters = self.counters
-        counters.inc("quanta")
-        if self.solver.last_was_cache_hit:
-            counters.inc("solver_cache_hits")
+        if len(records) == 1:
+            aggregate = records[0]
         else:
-            counters.inc("solver_cache_misses")
-            counters.inc("solver_iterations", equilibrium.iterations)
-        counters.inc("migrated_bytes", charged_bytes)
-        counters.inc("moves_applied", result.moves_applied)
-        counters.inc("moves_deferred", result.moves_deferred)
-        counters.inc("moves_skipped", result.moves_skipped)
+            # Summed throughput/bandwidth, shared latencies,
+            # demand-weighted true default-tier share.
+            total_rate = sum(r.throughput for r in records)
+            if total_rate > 0:
+                p_true = sum(r.throughput * r.p_true
+                             for r in records) / total_rate
+            else:
+                p_true = float(np.mean([r.p_true for r in records]))
+            aggregate = QuantumRecord(
+                time_s=t,
+                throughput=total_rate,
+                latencies_ns=records[0].latencies_ns,
+                p_true=p_true,
+                p_measured=equilibrium.measured_p,
+                app_tier_bandwidth=sum(r.app_tier_bandwidth
+                                       for r in records),
+                migration_bytes=sum(charged),
+                antagonist_intensity=intensity,
+            )
+            self.metrics.record(aggregate)
         if metered:
             self._m_quantum_wall.observe(perf_counter_ns() - wall_start)
             for tier, hist in enumerate(self._m_tier_latency):
-                hist.observe(float(record.latencies_ns[tier]))
+                hist.observe(float(aggregate.latencies_ns[tier]))
             self._m_quanta.inc()
-            self._m_migrated.inc(charged_bytes)
+            self._m_migrated.inc(sum(charged))
         self.time_s = t + self.quantum_s
-        return record
+        return aggregate
 
     def run(self, duration_s: float) -> MetricsRecorder:
         """Run for ``duration_s`` of simulated time; returns the metrics."""

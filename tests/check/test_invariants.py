@@ -365,10 +365,10 @@ class TestColocationChecks:
     def test_colocated_loop_runs_machine_checks(self):
         from repro.exec.factories import make_system
         from repro.experiments.common import scaled_machine
-        from repro.runtime.colocation import ColocatedLoop, TenantSpec
+        from repro.runtime.loop import TenantSpec
 
         half = SCALE / 2.0
-        loop = ColocatedLoop(
+        loop = SimulationLoop(
             machine=scaled_machine(SCALE),
             tenants=[
                 TenantSpec(name=f"t{i}",

@@ -267,7 +267,7 @@ class TestFindEquilibriumP:
         p_star = find_equilibrium_p(solver, app, pinned=[(ant, 0)],
                                     tolerance=1e-5)
         assert 0.0 < p_star < 1.0
-        eq = solver.solve(app, [p_star, 1.0 - p_star],
+        eq = solver.solve([(app, [p_star, 1.0 - p_star])],
                           pinned=[(ant, 0)])
         gap = abs(eq.latencies_ns[0] - eq.latencies_ns[1])
         assert gap < 0.01 * eq.latencies_ns[1]

@@ -43,10 +43,8 @@ def colocated_spec(**overrides) -> RunSpec:
 
 class TestBuildLoop:
     def test_tenant_spec_builds_colocated_loop(self):
-        from repro.runtime.colocation import ColocatedLoop
-
         loop = build_loop(colocated_spec())
-        assert isinstance(loop, ColocatedLoop)
+        assert loop.colocated
         assert loop.tenant_names == ["a", "b"]
         assert loop.tenant_systems["a"].name == "hemem+colloid"
         assert loop.tenant_systems["b"].name == "hemem"
@@ -55,7 +53,9 @@ class TestBuildLoop:
         from repro.runtime.loop import SimulationLoop
 
         spec = colocated_spec(system="hemem", tenants=())
-        assert isinstance(build_loop(spec), SimulationLoop)
+        loop = build_loop(spec)
+        assert isinstance(loop, SimulationLoop)
+        assert not loop.colocated
 
 
 class TestExecuteColocated:

@@ -7,9 +7,9 @@ simulated number — deliberate behavior changes must refresh the
 fixtures (``python -m tests.golden.refresh``) and commit the diff,
 which makes every numeric drift reviewable.
 
-Cases cover the three run modes plus a repeated (n_runs=3) grid cell,
-the latter pinning the content-hash seed derivation of
-:func:`repro.exec.runner.derive_run_seed`.
+Cases cover the three run modes, a two-tenant colocated cell, and a
+repeated (n_runs=3) grid cell, the latter pinning the content-hash seed
+derivation of :func:`repro.exec.runner.derive_run_seed`.
 """
 
 from __future__ import annotations
@@ -19,12 +19,14 @@ import json
 from pathlib import Path
 
 from repro.exec.runner import Runner, aggregate, expand_seeds
+from repro.exec.spec import COLOCATION_SYSTEM, TenantCellSpec
 from repro.experiments.common import (
     ExperimentConfig,
     best_case_spec,
     steady_cell_spec,
     trace_cell_spec,
 )
+from repro.experiments.colocation import migration_limit, tenant_workloads
 
 #: Where the committed fixtures live.
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -43,6 +45,20 @@ def _steady(system: str, intensity: int):
     return dataclasses.replace(spec, min_duration_s=1.0)
 
 
+def _colocated_trace():
+    # GUPS + Silo, both under hemem+colloid, sharing the machine at 2x.
+    gups, silo = tenant_workloads(GOLDEN)
+    spec = trace_cell_spec(
+        COLOCATION_SYSTEM, GOLDEN, duration_s=1.5,
+        contention=((0.0, 2),), workload=gups,
+        migration_limit_bytes=migration_limit(GOLDEN),
+    )
+    return dataclasses.replace(spec, tenants=(
+        TenantCellSpec.make("gups", gups, "hemem+colloid"),
+        TenantCellSpec.make("silo", silo, "hemem+colloid"),
+    ))
+
+
 #: Single-spec cases: name -> RunSpec.
 CASES = {
     "steady_hemem_c0": _steady("hemem", 0),
@@ -52,6 +68,7 @@ CASES = {
         contention=((0.0, 0), (0.75, 3)),
     ),
     "best_case_c2": best_case_spec(2, GOLDEN),
+    "trace_colocated_gups_silo_c2": _colocated_trace(),
 }
 
 #: The aggregated case: (name, base spec, n_runs).

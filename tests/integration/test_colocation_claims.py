@@ -13,7 +13,7 @@ import pytest
 
 from repro.exec.factories import make_system
 from repro.experiments.common import scaled_machine
-from repro.runtime.colocation import ColocatedLoop, TenantSpec
+from repro.runtime.loop import SimulationLoop, TenantSpec
 from repro.workloads.gups import GupsWorkload
 from repro.workloads.silo import SiloYcsbWorkload
 from tests.conftest import FAST_SCALE
@@ -22,8 +22,8 @@ HALF = FAST_SCALE / 2.0
 
 
 def colocated_loop(primary_system: str, contention: int,
-                   duration_s: float) -> ColocatedLoop:
-    loop = ColocatedLoop(
+                   duration_s: float) -> SimulationLoop:
+    loop = SimulationLoop(
         machine=scaled_machine(FAST_SCALE),
         tenants=[
             TenantSpec(name="gups",
@@ -49,12 +49,12 @@ def contended():
     }
 
 
-def tail_latencies(loop: ColocatedLoop) -> np.ndarray:
+def tail_latencies(loop: SimulationLoop) -> np.ndarray:
     tail = max(1, len(loop.metrics) // 4)
     return loop.metrics.latencies_ns[-tail:].mean(axis=0)
 
 
-def tail_throughput(loop: ColocatedLoop, tenant: str) -> float:
+def tail_throughput(loop: SimulationLoop, tenant: str) -> float:
     metrics = loop.tenant_metrics[tenant]
     tail = max(1, len(metrics) // 4)
     return float(metrics.throughput[-tail:].mean())

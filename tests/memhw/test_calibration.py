@@ -67,7 +67,7 @@ class TestLatencyInflation:
         app = _gups_group(machine)
         for level in (1, 2, 3):
             ant = antagonist_core_group(level, machine.antagonist)
-            eq = solver.solve(app, [HOT_PACKED_P, 1 - HOT_PACKED_P],
+            eq = solver.solve([(app, [HOT_PACKED_P, 1 - HOT_PACKED_P])],
                               pinned=[(ant, 0)])
             assert eq.latencies_ns[0] > eq.latencies_ns[1], (
                 f"intensity {level}"

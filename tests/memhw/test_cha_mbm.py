@@ -15,7 +15,7 @@ from repro.memhw.topology import paper_testbed
 def equilibrium():
     solver = EquilibriumSolver(paper_testbed().tiers)
     app = CoreGroup("a", 15, 7.0, read_fraction=0.5)
-    return solver.solve(app, [0.8, 0.2])
+    return solver.solve([(app, [0.8, 0.2])])
 
 
 class TestChaCounters:
@@ -84,17 +84,17 @@ class TestChaCounters:
 class TestMbmMonitor:
     def test_attributes_app_bandwidth_per_tier(self, equilibrium):
         mbm = MbmMonitor(2, traffic_multiplier=1.5)
-        mbm.observe(equilibrium, 1e6)
+        mbm.observe_rates(equilibrium.apps[0].tier_read_rate, 1e6)
         sample = mbm.sample_and_reset()
         np.testing.assert_allclose(
             sample.app_tier_bandwidth,
-            equilibrium.app_tier_read_rate * 1.5,
+            equilibrium.apps[0].tier_read_rate * 1.5,
             rtol=1e-12,
         )
 
     def test_default_tier_share(self, equilibrium):
         mbm = MbmMonitor(2)
-        mbm.observe(equilibrium, 1e6)
+        mbm.observe_rates(equilibrium.apps[0].tier_read_rate, 1e6)
         sample = mbm.sample_and_reset()
         assert sample.default_tier_share == pytest.approx(0.8, rel=1e-9)
 

@@ -42,10 +42,10 @@ _AGREE_RTOL = 10 * SOLVER_RELATIVE_TOLERANCE
 def _assert_equilibria_agree(a, b):
     np.testing.assert_allclose(a.latencies_ns, b.latencies_ns,
                                rtol=_AGREE_RTOL)
-    np.testing.assert_allclose(a.app_read_rate, b.app_read_rate,
+    np.testing.assert_allclose(a.apps[0].read_rate, b.apps[0].read_rate,
                                rtol=_AGREE_RTOL)
-    np.testing.assert_allclose(a.app_tier_read_rate,
-                               b.app_tier_read_rate, rtol=_AGREE_RTOL)
+    np.testing.assert_allclose(a.apps[0].tier_read_rate,
+                               b.apps[0].tier_read_rate, rtol=_AGREE_RTOL)
     np.testing.assert_allclose(a.tier_read_request_rate,
                                b.tier_read_request_rate,
                                rtol=_AGREE_RTOL)
@@ -73,18 +73,18 @@ class TestWarmStartFidelity:
         cold = EquilibriumSolver(machine.tiers, use_cache=False)
         warm = EquilibriumSolver(machine.tiers, use_cache=False)
         # Seed from a (possibly distant) other equilibrium.
-        seed_eq = warm.solve(app, [warm_p, 1.0 - warm_p], pinned=pinned)
-        cold_eq = cold.solve(app, [p, 1.0 - p], pinned=pinned,
+        seed_eq = warm.solve([(app, [warm_p, 1.0 - warm_p])], pinned=pinned)
+        cold_eq = cold.solve([(app, [p, 1.0 - p])], pinned=pinned,
                              extra_traffic=extra)
-        warm_eq = warm.solve(app, [p, 1.0 - p], pinned=pinned,
+        warm_eq = warm.solve([(app, [p, 1.0 - p])], pinned=pinned,
                              extra_traffic=extra,
                              initial_latencies=seed_eq.latencies_ns)
         _assert_equilibria_agree(warm_eq, cold_eq)
 
     def test_warm_start_collapses_iterations(self, tiers):
         solver = EquilibriumSolver(tiers, use_cache=False)
-        cold = solver.solve(_app(), [0.7, 0.3])
-        warm = solver.solve(_app(), [0.7, 0.3],
+        cold = solver.solve([(_app(), [0.7, 0.3])])
+        warm = solver.solve([(_app(), [0.7, 0.3])],
                             initial_latencies=cold.latencies_ns)
         assert warm.iterations < cold.iterations
         assert warm.iterations <= 3
@@ -92,12 +92,12 @@ class TestWarmStartFidelity:
     def test_bad_initial_latencies_rejected(self, tiers):
         solver = EquilibriumSolver(tiers)
         with pytest.raises(ConfigurationError):
-            solver.solve(_app(), [0.5, 0.5], initial_latencies=[100.0])
+            solver.solve([(_app(), [0.5, 0.5])], initial_latencies=[100.0])
         with pytest.raises(ConfigurationError):
-            solver.solve(_app(), [0.5, 0.5],
+            solver.solve([(_app(), [0.5, 0.5])],
                          initial_latencies=[100.0, -5.0])
         with pytest.raises(ConfigurationError):
-            solver.solve(_app(), [0.5, 0.5],
+            solver.solve([(_app(), [0.5, 0.5])],
                          initial_latencies=[100.0, float("nan")])
 
 
@@ -112,60 +112,60 @@ class TestMemoizationFidelity:
         pinned = [(ant, 0)]
         cold = EquilibriumSolver(machine.tiers, use_cache=False)
         memo = EquilibriumSolver(machine.tiers, use_cache=True)
-        memo.solve(app, [p, 1.0 - p], pinned=pinned)  # populate
-        hit = memo.solve(app, [p, 1.0 - p], pinned=pinned)
-        cold_eq = cold.solve(app, [p, 1.0 - p], pinned=pinned)
+        memo.solve([(app, [p, 1.0 - p])], pinned=pinned)  # populate
+        hit = memo.solve([(app, [p, 1.0 - p])], pinned=pinned)
+        cold_eq = cold.solve([(app, [p, 1.0 - p])], pinned=pinned)
         assert memo.last_was_cache_hit
         _assert_equilibria_agree(hit, cold_eq)
 
     def test_hit_returns_cached_instance(self, tiers):
         solver = EquilibriumSolver(tiers, use_cache=True)
-        first = solver.solve(_app(), [0.6, 0.4])
-        second = solver.solve(_app(), [0.6, 0.4])
+        first = solver.solve([(_app(), [0.6, 0.4])])
+        second = solver.solve([(_app(), [0.6, 0.4])])
         assert second is first
         assert solver.cache_hits == 1
         assert solver.cache_misses == 1
 
     def test_warm_start_not_part_of_cache_key(self, tiers):
         solver = EquilibriumSolver(tiers, use_cache=True)
-        first = solver.solve(_app(), [0.6, 0.4])
-        again = solver.solve(_app(), [0.6, 0.4],
+        first = solver.solve([(_app(), [0.6, 0.4])])
+        again = solver.solve([(_app(), [0.6, 0.4])],
                              initial_latencies=[200.0, 200.0])
         assert again is first
 
     def test_none_and_empty_extra_traffic_share_a_key(self, tiers):
         solver = EquilibriumSolver(tiers, use_cache=True)
-        first = solver.solve(_app(), [0.6, 0.4], extra_traffic=None)
-        second = solver.solve(_app(), [0.6, 0.4],
+        first = solver.solve([(_app(), [0.6, 0.4])], extra_traffic=None)
+        second = solver.solve([(_app(), [0.6, 0.4])],
                               extra_traffic=[[], []])
         assert second is first
 
     def test_different_inputs_miss(self, tiers):
         solver = EquilibriumSolver(tiers, use_cache=True)
-        solver.solve(_app(), [0.6, 0.4])
-        solver.solve(_app(), [0.61, 0.39])
-        solver.solve(_app(n_cores=12), [0.6, 0.4])
+        solver.solve([(_app(), [0.6, 0.4])])
+        solver.solve([(_app(), [0.61, 0.39])])
+        solver.solve([(_app(n_cores=12), [0.6, 0.4])])
         extra = [(TrafficClass(0.5, 0.3, 1.0),), ()]
-        solver.solve(_app(), [0.6, 0.4], extra_traffic=extra)
+        solver.solve([(_app(), [0.6, 0.4])], extra_traffic=extra)
         assert solver.cache_hits == 0
         assert solver.cache_misses == 4
 
     def test_lru_eviction(self, tiers):
         solver = EquilibriumSolver(tiers, use_cache=True, cache_size=2)
         a, b, c = [0.2, 0.8], [0.5, 0.5], [0.9, 0.1]
-        solver.solve(_app(), a)
-        solver.solve(_app(), b)
-        solver.solve(_app(), c)  # evicts a
-        solver.solve(_app(), a)
+        solver.solve([(_app(), a)])
+        solver.solve([(_app(), b)])
+        solver.solve([(_app(), c)])  # evicts a
+        solver.solve([(_app(), a)])
         assert solver.cache_misses == 4
-        solver.solve(_app(), c)
+        solver.solve([(_app(), c)])
         assert solver.cache_hits == 1
 
     def test_clear_cache(self, tiers):
         solver = EquilibriumSolver(tiers, use_cache=True)
-        solver.solve(_app(), [0.5, 0.5])
+        solver.solve([(_app(), [0.5, 0.5])])
         solver.clear_cache()
-        solver.solve(_app(), [0.5, 0.5])
+        solver.solve([(_app(), [0.5, 0.5])])
         assert solver.cache_hits == 0
         assert solver.cache_misses == 2
 
@@ -180,8 +180,8 @@ class TestCacheSwitch:
         assert not solver_cache_enabled()
         solver = EquilibriumSolver(tiers)
         assert not solver.cache_enabled
-        first = solver.solve(_app(), [0.5, 0.5])
-        second = solver.solve(_app(), [0.5, 0.5])
+        first = solver.solve([(_app(), [0.5, 0.5])])
+        second = solver.solve([(_app(), [0.5, 0.5])])
         assert second is not first
         assert solver.cache_hits == 0
         assert not solver.last_was_cache_hit
@@ -200,9 +200,9 @@ class TestCacheHitValidation:
     def test_hit_residual_within_tolerance(self, tiers):
         solver = EquilibriumSolver(tiers, use_cache=True,
                                    validate_cache_hits=True)
-        solver.solve(_app(), [0.7, 0.3])
+        solver.solve([(_app(), [0.7, 0.3])])
         assert solver.last_hit_residual is None
-        solver.solve(_app(), [0.7, 0.3])
+        solver.solve([(_app(), [0.7, 0.3])])
         assert solver.last_was_cache_hit
         assert solver.last_hit_residual is not None
         # A fresh solve converged below the tolerance; one more sweep
@@ -211,8 +211,8 @@ class TestCacheHitValidation:
 
     def test_no_residual_without_validation(self, tiers):
         solver = EquilibriumSolver(tiers, use_cache=True)
-        solver.solve(_app(), [0.7, 0.3])
-        solver.solve(_app(), [0.7, 0.3])
+        solver.solve([(_app(), [0.7, 0.3])])
+        solver.solve([(_app(), [0.7, 0.3])])
         assert solver.last_was_cache_hit
         assert solver.last_hit_residual is None
 
@@ -225,7 +225,7 @@ class TestConvergedStateConsistency:
         from repro.memhw.latency import TierCurveArray
 
         solver = EquilibriumSolver(tiers, use_cache=False)
-        eq = solver.solve(_app(), [0.55, 0.45])
+        eq = solver.solve([(_app(), [0.55, 0.45])])
         curve = TierCurveArray(tiers)
         np.testing.assert_array_equal(
             eq.latencies_ns, curve.latency_ns(eq.utilizations)
@@ -236,10 +236,10 @@ class TestConvergedStateConsistency:
 
         solver = EquilibriumSolver(tiers, use_cache=False)
         app = _app()
-        eq = solver.solve(app, [0.55, 0.45])
+        eq = solver.solve([(app, [0.55, 0.45])])
         expected = (app.n_cores * app.mlp * CACHELINE_BYTES
-                    / eq.app_avg_latency_ns)
-        assert eq.app_read_rate == pytest.approx(expected, rel=1e-12)
+                    / eq.apps[0].avg_latency_ns)
+        assert eq.apps[0].read_rate == pytest.approx(expected, rel=1e-12)
 
 
 class TestSolverMetrics:
@@ -259,9 +259,9 @@ class TestSolverMetrics:
 
     def test_counters_and_histogram(self, metered, tiers):
         solver = EquilibriumSolver(tiers, use_cache=True)
-        solver.solve(_app(), [0.5, 0.5])
-        solver.solve(_app(), [0.5, 0.5])
-        solver.solve(_app(), [0.8, 0.2])
+        solver.solve([(_app(), [0.5, 0.5])])
+        solver.solve([(_app(), [0.5, 0.5])])
+        solver.solve([(_app(), [0.8, 0.2])])
         snap = metered.snapshot()
         assert snap.counters["repro_solver_cache_hits_total"] == 1
         assert snap.counters["repro_solver_cache_misses_total"] == 2
@@ -274,6 +274,6 @@ class TestSolverMetrics:
         assert not METRICS.enabled  # tests run with metrics off
         before = set(METRICS._counters) | set(METRICS._histograms)
         solver = EquilibriumSolver(tiers)
-        solver.solve(_app(), [0.5, 0.5])
+        solver.solve([(_app(), [0.5, 0.5])])
         after = set(METRICS._counters) | set(METRICS._histograms)
         assert after == before

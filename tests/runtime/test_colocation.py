@@ -1,12 +1,13 @@
-"""Tests for the multi-tenant colocated loop."""
+"""Tests for colocated (multi-tenant) runs of the simulation loop."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.exec.factories import make_system
-from repro.runtime.colocation import ColocatedLoop, TenantSpec
-from repro.runtime.loop import SimulationLoop
+from repro.obs.metrics import METRICS
+from repro.runtime.colocation import ColocatedLoop
+from repro.runtime.loop import SimulationLoop, TenantSpec
 from repro.tiering.static import StaticPlacementSystem
 from repro.workloads.gups import GupsWorkload
 from tests.conftest import FAST_SCALE
@@ -28,7 +29,7 @@ def make_tenants(systems=("hemem+colloid", "hemem+colloid")):
 def make_coloc(small_machine, tenants=None, **kwargs):
     if tenants is None:
         tenants = make_tenants()
-    return ColocatedLoop(
+    return SimulationLoop(
         machine=small_machine, tenants=tenants, seed=4, **kwargs
     )
 
@@ -36,15 +37,15 @@ def make_coloc(small_machine, tenants=None, **kwargs):
 class TestConstruction:
     def test_needs_at_least_one_tenant(self, small_machine):
         with pytest.raises(ConfigurationError, match="at least one"):
-            ColocatedLoop(machine=small_machine, tenants=[])
+            SimulationLoop(machine=small_machine, tenants=[])
 
     def test_rejects_duplicate_names(self, small_machine):
         tenants = make_tenants()
         dup = TenantSpec(name="t0", workload=tenants[1].workload,
                          system=tenants[1].system)
         with pytest.raises(ConfigurationError, match="unique"):
-            ColocatedLoop(machine=small_machine,
-                          tenants=[tenants[0], dup])
+            SimulationLoop(machine=small_machine,
+                           tenants=[tenants[0], dup])
 
     def test_rejects_shared_system_instances(self, small_machine):
         system = make_system("hemem")
@@ -55,7 +56,7 @@ class TestConstruction:
             for i in range(2)
         ]
         with pytest.raises(ConfigurationError, match="share"):
-            ColocatedLoop(machine=small_machine, tenants=tenants)
+            SimulationLoop(machine=small_machine, tenants=tenants)
 
     def test_rejects_bad_quantum(self, small_machine):
         with pytest.raises(ConfigurationError, match="quantum"):
@@ -124,8 +125,8 @@ class TestDeterminism:
 
     def test_tenant_streams_decorrelated_from_seed(self, small_machine):
         a = make_coloc(small_machine, contention=2).run(0.5)
-        b = ColocatedLoop(machine=small_machine, tenants=make_tenants(),
-                          seed=5, contention=2).run(0.5)
+        b = SimulationLoop(machine=small_machine, tenants=make_tenants(),
+                           seed=5, contention=2).run(0.5)
         assert not np.array_equal(a.throughput, b.throughput)
 
 
@@ -144,6 +145,63 @@ class TestDuckCompatibility:
         assert loop.tenant_names == ["t0", "t1"]
         assert loop.tenant_systems["t0"].name == "hemem"
         assert set(loop.tenant_placements) == {"t0", "t1"}
+
+
+class TestOneLoop:
+    def test_colocated_loop_is_a_bodiless_alias(self):
+        # One class defines the quantum cycle; the historical name only
+        # stays importable.
+        assert issubclass(ColocatedLoop, SimulationLoop)
+        assert not any(callable(value)
+                       for value in vars(ColocatedLoop).values())
+
+    def test_needs_workload_and_system_or_tenants(self, small_machine):
+        workload = GupsWorkload(scale=FAST_SCALE, seed=4)
+        with pytest.raises(ConfigurationError, match="tenants"):
+            SimulationLoop(machine=small_machine, workload=workload)
+        with pytest.raises(ConfigurationError, match="tenants"):
+            SimulationLoop(machine=small_machine, workload=workload,
+                           system=StaticPlacementSystem(),
+                           tenants=make_tenants())
+
+    def test_one_tenant_aggregate_is_the_tenant_record(self, small_machine):
+        loop = make_coloc(small_machine, tenants=make_tenants(
+            ("hemem+colloid",)))
+        record = loop.step()
+        assert loop.tenant_metrics["t0"].records == [record]
+        assert loop.metrics.records == [record]
+
+
+class TestMetricsParity:
+    """A colocated run exports the per-quantum metrics a solo run does."""
+
+    NAMES = ("repro_quantum_wall_ns", "repro_tier0_loaded_latency_ns",
+             "repro_tier1_loaded_latency_ns")
+
+    def observed_counts(self, monkeypatch, loop_factory, n_quanta=3):
+        monkeypatch.setattr(METRICS, "enabled", True)
+        METRICS.reset()
+        try:
+            loop = loop_factory()
+            for __ in range(n_quanta):
+                loop.step()
+            histograms = METRICS.snapshot().histograms
+        finally:
+            METRICS.reset()
+        return {name: histograms.get(name, {}).get("count", 0)
+                for name in self.NAMES}
+
+    def test_colocated_run_exports_solo_metrics(self, small_machine,
+                                                monkeypatch):
+        solo = self.observed_counts(monkeypatch, lambda: SimulationLoop(
+            machine=small_machine,
+            workload=GupsWorkload(scale=FAST_SCALE, seed=4),
+            system=StaticPlacementSystem(), seed=4,
+        ))
+        colocated = self.observed_counts(
+            monkeypatch, lambda: make_coloc(small_machine))
+        assert solo == dict.fromkeys(self.NAMES, 3)
+        assert colocated == solo
 
 
 class TestContentionValidation:

@@ -1,6 +1,5 @@
 """Tests for the simulation loop."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -85,26 +84,6 @@ class TestInitialPlacement:
     def test_default_fill_packs_default_tier(self, small_machine):
         loop = make_loop(small_machine)
         assert loop.placement.free_bytes(0) < loop.placement.pages.sizes_bytes[0]
-
-    def test_explicit_initial_placement(self, small_machine):
-        workload = GupsWorkload(scale=FAST_SCALE, seed=4)
-        tiers = np.ones(workload.n_pages, dtype=np.int64)  # all alternate
-        loop = SimulationLoop(
-            machine=small_machine, workload=workload,
-            system=StaticPlacementSystem(), initial_placement=tiers,
-            seed=4,
-        )
-        record = loop.step()
-        assert record.p_true == 0.0
-
-    def test_rejects_wrong_length_placement(self, small_machine):
-        workload = GupsWorkload(scale=FAST_SCALE, seed=4)
-        with pytest.raises(ConfigurationError):
-            SimulationLoop(
-                machine=small_machine, workload=workload,
-                system=StaticPlacementSystem(),
-                initial_placement=np.zeros(3, dtype=np.int64),
-            )
 
     def test_rejects_bad_quantum(self, small_machine):
         workload = GupsWorkload(scale=FAST_SCALE, seed=4)

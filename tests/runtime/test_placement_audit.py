@@ -126,7 +126,7 @@ class TestMisplacementAcceptance:
 class TestColocatedAudit:
     def test_per_tenant_samples_and_audits(self, monkeypatch):
         monkeypatch.setenv(PLACEMENT_AUDIT_ENV_VAR, AUDIT_PERIOD)
-        from repro.runtime.colocation import ColocatedLoop, TenantSpec
+        from repro.runtime.loop import TenantSpec
 
         tracer = Tracer(ring_size=4096)
         machine = scaled_machine(FAST_SCALE)
@@ -140,8 +140,8 @@ class TestColocatedAudit:
                                              seed=4),
                        system=HememSystem()),
         ]
-        loop = ColocatedLoop(machine=machine, tenants=tenants,
-                             contention=1, seed=5, tracer=tracer)
+        loop = SimulationLoop(machine=machine, tenants=tenants,
+                              contention=1, seed=5, tracer=tracer)
         loop.run(duration_s=1.0)
         events = tracer.events()
         by_tenant = {}
